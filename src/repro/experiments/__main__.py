@@ -13,11 +13,10 @@ of independent points, fanned out to ``--jobs`` workers on a pluggable
 execution backend (``--backend serial|process|shm``) with a
 content-addressed result cache (``--cache-dir`` / ``--no-cache``).
 When the cache has seen a point before, its measured runtime also
-drives cost-aware scheduling (``--schedule cost``, the default):
-predicted-longest points are submitted first to shrink pool makespan.
-Results are bit-identical for any ``--jobs`` value, any backend, and
-any schedule.  Each experiment prints rows shaped like the paper's
-figure/table.
+drives cost-aware scheduling: predicted-longest points are submitted
+first to shrink pool makespan.  Results are bit-identical for any
+``--jobs`` value, any backend, and any submission order.  Each
+experiment prints rows shaped like the paper's figure/table.
 
 Sweeps are crash-safe: every completed point is journalled durably to a
 JSONL checkpoint next to the result cache (override with
@@ -46,6 +45,7 @@ from repro.runner import (
     SweepCheckpoint,
     SweepInterrupted,
     SweepRunner,
+    create_backend,
 )
 from repro.runner.cache import default_cache_dir
 
@@ -171,14 +171,6 @@ def main(argv: list[str] | None = None) -> int:
         "backoff with deterministic seeded jitter), transient budgets "
         "environment-fault retries separately (worker death, lease "
         "expiry)",
-    )
-    parser.add_argument(
-        "--schedule",
-        choices=("cost", "fifo"),
-        default="cost",
-        help="sweep submission order: cost (default) uses the cache's "
-        "runtime history to start predicted-longest points first; fifo "
-        "keeps enumeration order. Either way results are identical.",
     )
     parser.add_argument(
         "--cache-dir",
@@ -400,7 +392,6 @@ def main(argv: list[str] | None = None) -> int:
     backend: Any = args.backend
     quarantine_path = None
     if args.backend == "dispatch":
-        from repro.runner.backends.dispatch import load_dispatch_backend
         from repro.runner.dispatch.hosts import parse_hosts
 
         hosts = None
@@ -419,7 +410,8 @@ def main(argv: list[str] | None = None) -> int:
             )
         else:
             quarantine_path = "quarantine.jsonl"
-        backend = load_dispatch_backend()(
+        backend = create_backend(
+            "dispatch",
             hosts=hosts,
             retry_policy=retry_policy,
             task_timeout=args.timeout,
@@ -435,7 +427,6 @@ def main(argv: list[str] | None = None) -> int:
         checkpoint=checkpoint,
         resume=args.resume,
         backend=backend,
-        schedule=args.schedule,
     )
     artifacts = {}
     totals = {"hits": 0, "executed": 0, "quarantined": 0}

@@ -490,7 +490,8 @@ class RawExecutorRule(Rule):
     fixit = (
         "use a repro.runner.backends backend (SerialBackend, "
         "ProcessPoolBackend, SharedMemoryBackend) or create_backend(); "
-        "wrap a custom executor in LegacyExecutorBackend"
+        "for a custom executor, subclass ProcessPoolBackend and override "
+        "_make_pool"
     )
 
     #: the sanctioned implementation of the seam.

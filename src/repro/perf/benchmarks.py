@@ -300,12 +300,9 @@ def _run_fanout(scale: int, backend: str) -> BenchRun:
     from repro.runner import SweepRunner, create_backend
 
     params = _FanoutParams(n_points=scale)
-    runner = SweepRunner(
-        jobs=2,
-        cache=None,
-        backend=create_backend(backend),
-        schedule="fifo",  # A/B fairness: identical submission order
-    )
+    # No cache, so no cost history: submission order is the same on
+    # every backend (A/B fairness).
+    runner = SweepRunner(jobs=2, cache=None, backend=create_backend(backend))
     payloads = runner.run(SWEEP_PAYLOAD, params, seed=1)
     stats = runner.last_stats
     if stats is None or stats.failures:  # pragma: no cover - sizing bug guard
@@ -348,12 +345,7 @@ def bench_dispatch_fanout(scale: int) -> BenchRun:
 
     backend = create_backend("dispatch")
     params = _FanoutParams(n_points=scale, payload_bytes=256 * 1024)
-    runner = SweepRunner(
-        jobs=2,
-        cache=None,
-        backend=backend,
-        schedule="fifo",
-    )
+    runner = SweepRunner(jobs=2, cache=None, backend=backend)
     payloads = runner.run(SWEEP_PAYLOAD, params, seed=1)
     stats = runner.last_stats
     if stats is None or stats.failures:  # pragma: no cover - sizing bug guard

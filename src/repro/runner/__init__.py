@@ -45,7 +45,6 @@ Typical use::
 """
 
 from repro.runner.backends import (
-    LegacyExecutorBackend,
     PointSpec,
     ProcessPoolBackend,
     SerialBackend,
@@ -76,7 +75,6 @@ from repro.runner.progress import ProgressReporter
 __all__ = [
     "CostModel",
     "DispatchError",
-    "LegacyExecutorBackend",
     "PointFailure",
     "PointSpec",
     "ProcessPoolBackend",

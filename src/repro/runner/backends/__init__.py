@@ -16,11 +16,10 @@ Four first-class implementations ship with the runner:
               (:mod:`repro.runner.dispatch`)
 ============ =================================================================
 
-plus :class:`LegacyExecutorBackend`, the adapter behind the deprecated
-``SweepRunner(executor_factory=...)`` kwarg.  All backends honor the
-same determinism contract: byte-identical merged payloads for any
-backend and any ``--jobs``.  See :class:`~repro.runner.backends.base.SweepBackend`
-for the protocol and CONTRIBUTING.md for how to implement one.
+All backends honor the same determinism contract: byte-identical
+merged payloads for any backend and any ``--jobs``.  See
+:class:`~repro.runner.backends.base.SweepBackend` for the protocol and
+CONTRIBUTING.md for how to implement one.
 
 ``dispatch`` is registered lazily: naming it in :func:`create_backend`
 (or ``--backend dispatch``) imports the fleet machinery on demand, so
@@ -35,14 +34,13 @@ from repro.runner.backends.base import (
     execute_point,
     resolve_experiment,
 )
-from repro.runner.backends.pool import LegacyExecutorBackend, ProcessPoolBackend
+from repro.runner.backends.pool import ProcessPoolBackend
 from repro.runner.backends.serial import SerialBackend
 from repro.runner.backends.shm import SharedMemoryBackend
 
 __all__ = [
     "BACKENDS",
     "LAZY_BACKENDS",
-    "LegacyExecutorBackend",
     "PointSpec",
     "ProcessPoolBackend",
     "SerialBackend",
@@ -67,9 +65,9 @@ LAZY_BACKENDS: tuple[str, ...] = ("dispatch",)
 def create_backend(name: str, **kwargs: object) -> SweepBackend:
     """Instantiate a named backend (``serial``/``process``/``shm``/``dispatch``)."""
     if name in LAZY_BACKENDS:
-        from repro.runner.backends.dispatch import load_dispatch_backend
+        from repro.runner.dispatch.backend import DispatchBackend
 
-        return load_dispatch_backend()(**kwargs)  # type: ignore[arg-type]
+        return DispatchBackend(**kwargs)  # type: ignore[arg-type]
     try:
         cls = BACKENDS[name]
     except KeyError:

@@ -1,4 +1,4 @@
-"""Process-pool execution and the deprecated executor-factory shim.
+"""Process-pool execution.
 
 Only ``(experiment_id, params, point, seed)`` crosses the process
 boundary, so experiments never need to be picklable themselves — but
@@ -11,7 +11,7 @@ they must be *resolvable* in the worker: registered in
 from __future__ import annotations
 
 import concurrent.futures
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from repro.runner.backends.base import (
     PointSpec,
@@ -20,7 +20,7 @@ from repro.runner.backends.base import (
     resolve_experiment,
 )
 
-__all__ = ["LegacyExecutorBackend", "ProcessPoolBackend"]
+__all__ = ["ProcessPoolBackend"]
 
 
 def _pool_worker(
@@ -41,7 +41,6 @@ class ProcessPoolBackend(SweepBackend):
     """
 
     name = "process"
-    supports_cancellation = True
 
     def __init__(self, mp_context: Any = None) -> None:
         self._mp_context = mp_context
@@ -70,25 +69,3 @@ class ProcessPoolBackend(SweepBackend):
             self._pool.shutdown(wait=wait, cancel_futures=cancel_futures)
             self._pool = None
 
-
-class LegacyExecutorBackend(ProcessPoolBackend):
-    """Adapter wrapping a bare ``max_workers -> Executor`` callable.
-
-    This is what the deprecated ``SweepRunner(executor_factory=...)``
-    kwarg becomes: the same submit/drain/close surface as every other
-    backend, built on whatever executor the callable returns.  Tests
-    that need deterministic straggler timing hand it a
-    ``ThreadPoolExecutor`` factory; new code should implement a
-    :class:`~repro.runner.backends.base.SweepBackend` instead.
-    """
-
-    name = "legacy"
-
-    def __init__(
-        self, factory: Callable[[int], concurrent.futures.Executor]
-    ) -> None:
-        super().__init__()
-        self.factory = factory
-
-    def _make_pool(self, max_workers: int) -> concurrent.futures.Executor:
-        return self.factory(max_workers)

@@ -184,7 +184,6 @@ class SharedMemoryBackend(ProcessPoolBackend):
     """Process pool whose bulk result bytes bypass the pickle pipe."""
 
     name = "shm"
-    supports_shared_memory = True
 
     def __init__(
         self,

@@ -11,7 +11,10 @@ flushed **and fsynced** before ``record()`` returns, so a ``kill -9``
 
 ``load()`` tolerates exactly that failure mode: a torn final line — or
 any line whose JSON/base64/pickle does not parse — is skipped rather
-than poisoning the resume.  Records are keyed on
+than poisoning the resume.  Appending after a torn tail first ends the
+fragment's line, so the resumed run's first record (or header) starts
+on a line of its own instead of being glued to the fragment and
+skipped with it.  Records are keyed on
 ``(experiment_id, label, seed, params_digest)`` — the digest matters
 because protocol variants of one experiment deliberately share
 per-point seeds (matched draws), so id/label/seed alone would collide
@@ -40,8 +43,8 @@ from typing import Any, Optional, TextIO
 __all__ = ["JOURNAL_SCHEMA", "SweepCheckpoint", "digest_params"]
 
 #: schema id carried by journal header lines.  A header records which
-#: execution backend (and jobs/schedule configuration) produced the
-#: run's records; resume accepts any backend — the journal format is
+#: execution backend (and jobs configuration) produced the run's
+#: records; resume accepts any backend — the journal format is
 #: backend-independent, so a sweep killed under ``shm`` can resume
 #: under ``serial`` and vice versa.  Headers are append-only like every
 #: other line: a resumed run appends a fresh header, and ``load()``
@@ -115,7 +118,6 @@ class SweepCheckpoint:
         self,
         backend: str = "",
         jobs: int = 0,
-        schedule: str = "",
         workers: "tuple[str, ...] | list[str]" = (),
     ) -> None:
         """Append a header naming the run's execution configuration.
@@ -131,7 +133,6 @@ class SweepCheckpoint:
             "schema": JOURNAL_SCHEMA,
             "backend": backend,
             "jobs": int(jobs),
-            "schedule": schedule,
         }
         if workers:
             header["workers"] = list(workers)
@@ -210,5 +211,20 @@ class SweepCheckpoint:
     def _open(self) -> TextIO:
         if self._fh is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
+            torn = self._torn_tail()
             self._fh = self.path.open("a", encoding="utf-8")
+            if torn:
+                self._fh.write("\n")
         return self._fh
+
+    def _torn_tail(self) -> bool:
+        """True when the journal's last line has no newline: a crash
+        cut the write short."""
+        try:
+            with self.path.open("rb") as fh:
+                if fh.seek(0, os.SEEK_END) == 0:
+                    return False
+                fh.seek(-1, os.SEEK_END)
+                return fh.read(1) != b"\n"
+        except FileNotFoundError:
+            return False

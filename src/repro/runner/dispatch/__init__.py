@@ -37,11 +37,16 @@ never stall the fleet on one sick participant:
   ``kill -9`` resumes under ``--backend serial`` (and vice versa)
   byte-identically; the chaos harness
   (:mod:`~repro.runner.dispatch.chaos`) proves it in CI.
+
+Importing this package stays light: :mod:`repro.runner` re-exports the
+retry policy and its exceptions from here, so the socket machinery in
+:mod:`~repro.runner.dispatch.backend` and
+:mod:`~repro.runner.dispatch.frames` is imported only by
+``create_backend("dispatch")`` (or an explicit import of those
+modules).
 """
 
-from repro.runner.dispatch.backend import DispatchBackend
 from repro.runner.dispatch.breaker import CircuitBreaker
-from repro.runner.dispatch.frames import FrameError, recv_frame, send_frame
 from repro.runner.dispatch.hosts import HostSpec, default_hosts, parse_hosts
 from repro.runner.dispatch.retry import (
     DETERMINISTIC,
@@ -62,9 +67,7 @@ __all__ = [
     "TRANSIENT",
     "BackoffSchedule",
     "CircuitBreaker",
-    "DispatchBackend",
     "DispatchError",
-    "FrameError",
     "HostSpec",
     "LeaseExpired",
     "QuarantinedPoint",
@@ -73,6 +76,4 @@ __all__ = [
     "classify_failure",
     "default_hosts",
     "parse_hosts",
-    "recv_frame",
-    "send_frame",
 ]

@@ -173,8 +173,6 @@ class DispatchBackend(SweepBackend):
 
     name = "dispatch"
     inline = False
-    supports_cancellation = False
-    supports_shared_memory = False
 
     def __init__(
         self,

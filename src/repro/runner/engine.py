@@ -21,21 +21,22 @@ Scheduling contract: when a cache is attached, the runner consults its
 ``(experiment, params, label)`` but not seed — and submits predicted-
 longest points first, shrinking a pool sweep's makespan (the classic
 LPT heuristic).  Points without history keep submission order, so a
-cold sweep behaves exactly as before.  Because merge is by point
-index, reordering can never change payloads; ``schedule="fifo"``
-disables it anyway for A/B timing.
+cold sweep runs in enumeration order.  Because merge is by point
+index, reordering can never change payloads.
 
-Failure contract: every failed attempt is classified through the shared
+Failure contract: every backend's attempts go through one resolution
+loop, and every failed attempt is classified through the shared
 :class:`~repro.runner.dispatch.retry.RetryPolicy` — *transient* faults
 (worker crashes, broken pools, connection resets) are retried against a
 separate, more generous budget than the point's own ``max_attempts``;
 *timeouts* trigger speculative resubmission (the straggler keeps
 running, and whichever earliest-submitted attempt completes
 successfully wins, so the outcome does not depend on the race); and
-*deterministic* errors retry with seeded exponential backoff until the
-budget runs out.  A point that exhausts its budgets degrades to a
-``None`` result; ``reduce`` receives the partial result set and the
-failures — with their classification — are recorded on
+*deterministic* errors retry until the budget runs out (an inline
+backend sleeps the policy's seeded exponential backoff between them).
+A point that exhausts its budgets degrades to a ``None`` result;
+``reduce`` receives the partial result set and the failures — with
+their classification — are recorded on
 :attr:`SweepRunner.last_stats`, split into :attr:`SweepStats.timeouts`
 and :attr:`SweepStats.errors`.  Dispatch-terminal failures
 (:class:`~repro.runner.dispatch.retry.QuarantinedPoint`,
@@ -65,10 +66,9 @@ import pickle
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from repro.runner.backends import (
-    LegacyExecutorBackend,
     PointSpec,
     ProcessPoolBackend,
     SerialBackend,
@@ -250,15 +250,11 @@ class SweepRunner:
     timeout:
         Seconds to wait for one point's result before retrying/failing
         it, or None to wait forever.  Enforced only on pool backends.
-    retries:
-        Re-submissions after a point raises or times out.  Shorthand
-        for the common case; ``retry_policy`` supersedes it.
     retry_policy:
         A :class:`~repro.runner.dispatch.retry.RetryPolicy` governing
         attempt budgets, the separate transient budget, and backoff
-        with deterministic seeded jitter.  None derives a policy from
-        ``retries`` with zero backoff delay — exactly the historical
-        behavior.
+        with deterministic seeded jitter.  None means two attempts per
+        point with no backoff delay.
     progress:
         True to print per-point progress/ETA lines to stderr, or a
         :class:`~repro.runner.progress.ProgressReporter` to customize.
@@ -275,14 +271,6 @@ class SweepRunner:
         :class:`~repro.runner.backends.SweepBackend` instance, or None
         to pick automatically (serial under ``jobs=1``, process pool
         otherwise).  ``"serial"`` ignores ``jobs``.
-    schedule:
-        ``"cost"`` (default) submits predicted-longest points first
-        using the cache's runtime history; ``"fifo"`` keeps submission
-        order.  Either way merged payloads are identical.
-    executor_factory:
-        Deprecated ``max_workers -> Executor`` seam; wrapped in a
-        :class:`~repro.runner.backends.LegacyExecutorBackend`.  Pass
-        ``backend=`` instead.
     """
 
     def __init__(
@@ -290,17 +278,12 @@ class SweepRunner:
         jobs: int = 1,
         cache: Optional[ResultCache] = None,
         timeout: Optional[float] = None,
-        retries: int = 1,
         retry_policy: Optional[RetryPolicy] = None,
         progress: Any = False,
         label: str = "sweep",
         checkpoint: Optional[SweepCheckpoint] = None,
         resume: bool = False,
         backend: "str | SweepBackend | None" = None,
-        schedule: str = "cost",
-        executor_factory: Optional[
-            Callable[[int], concurrent.futures.Executor]
-        ] = None,
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
@@ -308,21 +291,15 @@ class SweepRunner:
             raise ValueError("timeout must be positive (or None)")
         if resume and checkpoint is None:
             raise ValueError("resume=True requires a checkpoint")
-        if schedule not in ("cost", "fifo"):
-            raise ValueError(f"unknown schedule {schedule!r} (use 'cost' or 'fifo')")
         self.jobs = int(jobs)
         self.cache = cache
         self.timeout = timeout
-        self.retries = max(0, int(retries))
-        #: the classification/backoff policy; the legacy ``retries``
-        #: knob derives one with no backoff so existing sweeps keep
-        #: their exact timing.
+        #: the classification/backoff policy; the default retries a
+        #: failed point once with no backoff delay.
         self.retry_policy = (
             retry_policy
             if retry_policy is not None
-            else RetryPolicy(
-                max_attempts=self.retries + 1, base_delay=0.0, jitter=0.0
-            )
+            else RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0)
         )
         if isinstance(progress, ProgressReporter):
             self._reporter: Optional[ProgressReporter] = progress
@@ -332,22 +309,6 @@ class SweepRunner:
             self._reporter = None
         self.checkpoint = checkpoint
         self.resume = bool(resume)
-        self.schedule = schedule
-        if executor_factory is not None:
-            if backend is not None:
-                raise ValueError(
-                    "pass either backend= or the deprecated executor_factory=, "
-                    "not both"
-                )
-            warnings.warn(
-                "SweepRunner(executor_factory=...) is deprecated; pass "
-                "backend=LegacyExecutorBackend(factory) — or one of the "
-                "first-class backends ('serial', 'process', 'shm') — instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            backend = LegacyExecutorBackend(executor_factory)
-        self.executor_factory = executor_factory
         if isinstance(backend, str):
             backend = create_backend(backend)
         if backend is not None and not isinstance(backend, SweepBackend):
@@ -508,10 +469,10 @@ class SweepRunner:
 
         Points without history keep submission order ahead of ranked
         ones (they could be arbitrarily long, and a cold sweep must
-        behave exactly like FIFO).  Reordering is submission-side only;
+        run in enumeration order).  Reordering is submission-side only;
         results are merged by point index regardless.
         """
-        if self.schedule != "cost" or self.cache is None or len(pending) < 2:
+        if self.cache is None or len(pending) < 2:
             return pending
         costs = self.cache.costs
         ranked: list[tuple[int, float, int, _Entry]] = []
@@ -653,77 +614,27 @@ class SweepRunner:
             self.checkpoint.write_header(
                 backend=backend.name,
                 jobs=self.jobs,
-                schedule=self.schedule,
                 workers=getattr(backend, "worker_roster", ()),
             )
         try:
-            if backend.inline:
-                self._drain_inline(backend, pending, results, stats)
-            else:
-                self._drain_pool(backend, pending, results, stats)
+            self._drain(backend, pending, results, stats)
         finally:
             self._merge_backend_stats(backend, stats)
 
-    def _drain_inline(
+    def _drain(
         self,
         backend: SweepBackend,
         pending: list[_Entry],
         results: list[list[Any]],
         stats: SweepStats,
     ) -> None:
-        """Lazy submission for inline backends: each point's result is
-        recorded (and journalled) before the next point starts."""
-        policy = self.retry_policy
-        for entry in pending:
-            schedule = policy.schedule(
-                f"{entry.experiment.id}/{entry.point.label}"
-            )
-            failed_attempts = 0
-            transient_used = 0
-            total_attempts = 0
-            while True:
-                total_attempts += 1
-                # KeyboardInterrupt propagates out of submit: completed
-                # points are already durable, the rest never started.
-                future = backend.submit(entry.spec())
-                exc = future.exception()
-                if exc is None:
-                    seconds, value = future.result()
-                    self._record(entry, seconds, value, results, stats)
-                    break
-                error = f"{type(exc).__name__}: {exc}"
-                terminal = self._terminal_kind(exc)
-                if terminal is not None:
-                    self._fail(entry, error, total_attempts, stats,
-                               kind=terminal)
-                    break
-                kind = classify_failure(exc)
-                if kind == TRANSIENT:
-                    # Environmental faults draw on the transient budget,
-                    # never the point's own attempts.
-                    if policy.allows_transient(transient_used):
-                        transient_used += 1
-                        stats.transient_retries += 1
-                        continue
-                    self._fail(entry, error, total_attempts, stats,
-                               kind=TRANSIENT)
-                    break
-                failed_attempts += 1
-                if policy.allows(failed_attempts + 1):
-                    delay = schedule.delay(failed_attempts)
-                    if delay > 0:
-                        time.sleep(delay)
-                    continue
-                self._fail(entry, error, total_attempts, stats, kind=kind)
-                break
+        """Resolve every entry in order: the one attempt/budget loop.
 
-    def _drain_pool(
-        self,
-        backend: SweepBackend,
-        pending: list[_Entry],
-        results: list[list[Any]],
-        stats: SweepStats,
-    ) -> None:
+        A pooled backend gets every first attempt up front.  An inline
+        backend executes at submit time, so its first attempt waits for
+        the loop to reach the entry: each point is recorded (and
+        journalled) before the next one starts.
+        """
         #: (entry, future) pairs still in flight after their entry was
         #: already decided — stragglers whose eventual successes are
         #: counted as duplicates, never recorded.
@@ -733,13 +644,20 @@ class SweepRunner:
             # only grows (stragglers are never discarded), so "earliest
             # successful submission" is a deterministic choice however
             # the straggler/retry race resolves.
-            futures: dict[int, list[concurrent.futures.Future]] = {
-                id(entry): [backend.submit(entry.spec())]
-                for entry in pending
-            }
+            futures: dict[int, list[concurrent.futures.Future]] = (
+                {} if backend.inline else {
+                    id(entry): [backend.submit(entry.spec())]
+                    for entry in pending
+                }
+            )
             policy = self.retry_policy
             for entry in pending:
-                attempts = futures[id(entry)]
+                # KeyboardInterrupt propagates out of an inline submit:
+                # completed points are already durable, the rest never
+                # started.
+                attempts: list[concurrent.futures.Future] = (
+                    futures.get(id(entry)) or [backend.submit(entry.spec())]
+                )
                 #: futures whose failure has already been classified —
                 #: each failed attempt must be charged to a budget
                 #: exactly once, however many drain iterations see it.
@@ -815,16 +733,21 @@ class SweepRunner:
                         resubmit = True
                     elif failed_new or timed_out:
                         # Attempts charged against the point's own
-                        # budget exclude the transient ones above —
-                        # exactly the historical `attempts <= retries`
-                        # gate when no transients occurred.
+                        # budget exclude the transient ones above.
                         budget_used = len(attempts) - transient_used
                         resubmit = policy.allows(budget_used + 1)
+                        if resubmit and backend.inline:
+                            # Seeded backoff between an inline point's
+                            # own retries.  Pools skip it: a sleep would
+                            # serialize the loop across unrelated
+                            # entries, and the dispatch backend delays
+                            # its internal retries itself.
+                            delay = policy.schedule(
+                                f"{entry.experiment.id}/{entry.point.label}"
+                            ).delay(budget_used)
+                            if delay > 0:
+                                time.sleep(delay)
                     if resubmit:
-                        # No backoff sleep here: it would serialize the
-                        # drain loop across unrelated entries.  The
-                        # dispatch backend delays its internal retries;
-                        # pool retries go straight back to a free slot.
                         try:
                             attempts.append(backend.submit(entry.spec()))
                         except Exception as exc:  # pool broken beyond repair

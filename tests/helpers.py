@@ -1,12 +1,15 @@
-"""Shared test fixtures: tiny networks with controllable loss."""
+"""Shared test fixtures: tiny networks with controllable loss, and a
+thread-pool sweep backend."""
 
 from __future__ import annotations
 
+import concurrent.futures
 from typing import Callable, Optional
 
 from repro.net.packet import Packet
 from repro.net.queues import DropTailQueue
 from repro.net.topology import build_star
+from repro.runner.backends import ProcessPoolBackend
 from repro.sim.kernel import Simulator
 from repro.tcp.base import TcpConfig, TcpSink, TcpSource
 from repro.tcp.factory import create_source
@@ -87,3 +90,18 @@ def install_loss(link, should_drop) -> None:
         original(pkt)
 
     link.send = lossy_send
+
+
+class ThreadPoolBackend(ProcessPoolBackend):
+    """A pool backend on threads instead of processes.
+
+    Workers share this process, so an experiment's in-memory state
+    (counters, events) is visible to the test, and straggler timing is
+    deterministic.  Experiments must still be registered: the pool
+    worker resolves them by id, exactly as in a process pool.
+    """
+
+    name = "threads"
+
+    def _make_pool(self, max_workers: int) -> concurrent.futures.Executor:
+        return concurrent.futures.ThreadPoolExecutor(max_workers)

@@ -338,7 +338,8 @@ class TestSim010RawExecutor:
 
     def test_other_executors_are_fine(self):
         # ThreadPoolExecutor is not the sweep seam (tests use it for
-        # deterministic straggler timing via LegacyExecutorBackend).
+        # deterministic straggler timing via a ProcessPoolBackend
+        # subclass whose _make_pool returns a thread pool).
         src = (
             "import concurrent.futures\n"
             "def make(n):\n"

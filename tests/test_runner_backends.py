@@ -1,5 +1,6 @@
 """The SweepBackend seam: backend equivalence, shm transport, the
-cost-aware scheduler, and the deprecated executor_factory shim.
+cost-aware scheduler, and failure accounting on inline and pooled
+backends.
 
 The headline guarantees under test:
 
@@ -12,11 +13,12 @@ The headline guarantees under test:
   submits predicted-longest points first;
 * a sweep SIGKILLed under the shm backend resumes under serial (the
   journal is backend-independent);
-* ``executor_factory=`` still works but warns, and the CostModel ledger
-  survives corrupt files and round-trips through flush.
+* the one resolution loop charges errors, timeouts, and transient
+  faults to the same budgets whether the backend is inline or pooled;
+* the CostModel ledger survives corrupt files and round-trips through
+  flush.
 """
 
-import concurrent.futures
 import dataclasses
 import json
 import os
@@ -34,8 +36,9 @@ from repro.experiments.base import Experiment, Point
 from repro.experiments.store import to_jsonable
 from repro.runner import (
     CostModel,
-    LegacyExecutorBackend,
     ResultCache,
+    RetryPolicy,
+    SerialBackend,
     SweepCheckpoint,
     SweepRunner,
     create_backend,
@@ -43,6 +46,7 @@ from repro.runner import (
 from repro.runner.backends import BACKENDS, SharedMemoryBackend
 from repro.runner.checkpoint import digest_params
 from repro.sim.randomness import derive_seed
+from tests.helpers import ThreadPoolBackend
 
 
 @dataclasses.dataclass
@@ -214,7 +218,7 @@ class TestSharedMemoryTransport:
 
 
 # ----------------------------------------------------------------------
-# Backend selection and the deprecated seam
+# Backend selection
 # ----------------------------------------------------------------------
 
 class TestBackendSelection:
@@ -234,13 +238,27 @@ class TestBackendSelection:
     def test_registry_names(self):
         assert set(BACKENDS) == {"serial", "process", "shm"}
 
+    def test_dispatch_machinery_loads_only_on_demand(self):
+        probe = (
+            "import sys\n"
+            "import repro.runner\n"
+            "heavy = ('repro.runner.dispatch.backend',"
+            " 'repro.runner.dispatch.frames')\n"
+            "assert not any(m in sys.modules for m in heavy), 'eager'\n"
+            "backend = repro.runner.create_backend('dispatch')\n"
+            "assert type(backend).__name__ == 'DispatchBackend'\n"
+        )
+        env = dict(
+            os.environ,
+            PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"),
+        )
+        subprocess.run(
+            [sys.executable, "-c", probe], env=env, check=True, timeout=60.0
+        )
+
     def test_runner_rejects_non_backend_object(self):
         with pytest.raises(TypeError, match="SweepBackend"):
             SweepRunner(backend=object())
-
-    def test_runner_rejects_unknown_schedule(self):
-        with pytest.raises(ValueError, match="schedule"):
-            SweepRunner(schedule="random")
 
     def test_serial_backend_ignores_jobs(self):
         spy = _SpyExperiment()
@@ -249,35 +267,9 @@ class TestBackendSelection:
         assert runner.last_stats.backend == "serial"
         assert spy.executed == ["p0", "p1", "p2", "p3"]
 
-    def test_executor_factory_warns_and_still_works(self, spy):
-        with pytest.warns(DeprecationWarning, match="executor_factory"):
-            runner = SweepRunner(
-                jobs=2,
-                executor_factory=lambda n: (
-                    concurrent.futures.ThreadPoolExecutor(n)
-                ),
-            )
-        payload = runner.run(spy, _ToyParams(), seed=1)
-        assert [r["label"] for r in payload] == ["p0", "p1", "p2", "p3"]
-        assert runner.last_stats.backend == "legacy"
-
-    def test_backend_and_executor_factory_conflict(self):
-        with pytest.raises(ValueError, match="not both"):
-            SweepRunner(
-                backend="serial",
-                executor_factory=lambda n: (
-                    concurrent.futures.ThreadPoolExecutor(n)
-                ),
-            )
-
-    def test_legacy_backend_without_warning(self, spy):
-        # The migration target: wrap the factory explicitly, no warning.
-        runner = SweepRunner(
-            jobs=2,
-            backend=LegacyExecutorBackend(
-                lambda n: concurrent.futures.ThreadPoolExecutor(n)
-            ),
-        )
+    def test_custom_pool_backend(self, spy):
+        # A custom executor plugs in as a ProcessPoolBackend subclass.
+        runner = SweepRunner(jobs=2, backend=ThreadPoolBackend())
         payload = runner.run(spy, _ToyParams(), seed=1)
         assert [r["label"] for r in payload] == ["p0", "p1", "p2", "p3"]
 
@@ -317,17 +309,6 @@ class TestScheduler:
         runner.run(spy, params, seed=4)
         assert spy.executed == ["p0", "p2", "p3", "p1"]
         assert runner.last_stats.reordered > 0
-
-    def test_fifo_schedule_disables_reordering(self, tmp_path):
-        spy = _SpyExperiment(n_points=3)
-        params = _ToyParams()
-        digest = digest_params(params)
-        cache = ResultCache(tmp_path / "cache")
-        cache.costs.observe(CostModel.key(spy.id, "p2", digest), 9.0)
-        runner = SweepRunner(cache=cache, backend="serial", schedule="fifo")
-        runner.run(spy, params, seed=4)
-        assert spy.executed == ["p0", "p1", "p2"]
-        assert runner.last_stats.reordered == 0
 
     def test_observed_costs_flushed_after_dispatch(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
@@ -397,7 +378,7 @@ class TestJournalHeader:
     def test_header_round_trip(self, tmp_path):
         path = tmp_path / "journal.jsonl"
         ckpt = SweepCheckpoint(path)
-        ckpt.write_header(backend="shm", jobs=4, schedule="cost")
+        ckpt.write_header(backend="shm", jobs=4)
         ckpt.record("toy", "p0", 1, "ok")
         ckpt.close()
         loaded = SweepCheckpoint(path)
@@ -413,17 +394,20 @@ class TestJournalHeader:
         runner.run(_SpyExperiment(), _ToyParams(), seed=1)
         first = json.loads(path.read_text().splitlines()[0])
         assert first["backend"] == "serial"
-        assert first["schedule"] == "cost"
+        assert first["jobs"] == 1
 
     def test_resume_accepts_records_from_another_backend(self, tmp_path):
         spy = _SpyExperiment()
         params = _ToyParams()
         path = tmp_path / "journal.jsonl"
         # A journal "left behind" by a process-backend run that only got
-        # through p1 (header + one record, written by hand).
+        # through p1 (header + one record, written by hand).  The header
+        # is in an older format that still carried a "schedule" key.
         seed_p1 = derive_seed(6, f"{spy.id}/p1")
+        header = {"backend": "process", "jobs": 8, "schedule": "cost",
+                  "schema": "repro-sweep-journal/1"}
+        path.write_text(json.dumps(header) + "\n")
         ckpt = SweepCheckpoint(path)
-        ckpt.write_header(backend="process", jobs=8, schedule="cost")
         ckpt.record(
             spy.id, "p1", seed_p1, {"label": "p1", "seed": seed_p1},
             params_digest=digest_params(params),
@@ -581,7 +565,8 @@ class _ExitingExperiment(_SpyExperiment):
 
 
 class _SleepyExperiment(_SpyExperiment):
-    """Every point sleeps long enough to trip a short runner timeout."""
+    """Every point sleeps long enough to trip a short runner timeout,
+    then succeeds: only the runner's own timer can fail it."""
 
     id = "toy-backend-sleepy"
 
@@ -590,12 +575,74 @@ class _SleepyExperiment(_SpyExperiment):
         return super().run_point(params, point, seed)
 
 
-class TestFailureAccounting:
+class _OverrunningExperiment(_SpyExperiment):
+    """Every point raises its own deadline error: an inline backend has
+    no runner-side timer, so this is how a serial sweep times out."""
+
+    id = "toy-backend-overrunning"
+
+    def run_point(self, params, point, seed):
+        time.sleep(1.0)
+        raise TimeoutError("point deadline exceeded")
+
+
+class _FlakyExperiment(_SpyExperiment):
+    """Raises ``error`` on the first ``fail_times`` attempts, then works."""
+
+    id = "toy-backend-flaky"
+
+    def __init__(self, error, fail_times):
+        super().__init__(n_points=1)
+        self.error = error
+        self.fail_times = fail_times
+
+    def run_point(self, params, point, seed):
+        attempt = len(self.executed)
+        self.executed.append(point.label)
+        if attempt < self.fail_times:
+            raise self.error
+        return {"label": point.label, "seed": seed}
+
+
+def _policy(attempts, transient=8, base_delay=0.0, jitter=0.0):
+    return RetryPolicy(
+        max_attempts=attempts, transient_budget=transient,
+        base_delay=base_delay, jitter=jitter, seed=7,
+    )
+
+
+class _FailureAccountingCases:
+    """Budget and classification checks shared by an inline and a
+    pooled backend: both go through the runner's one resolution loop."""
+
+    #: Experiment whose single point times out under a 0.1 s timeout,
+    #: and the prefix of the failure message that proves who timed it out.
+    overrunning: type = _OverrunningExperiment
+    timeout_error = ""
+
+    def make_backend(self):
+        raise NotImplementedError
+
+    def sweep(self, experiment, retry_policy, timeout=None):
+        # A pool resolves experiments by id, so the toy sits in the
+        # registry for the sweep's duration.
+        registry._ensure_loaded()
+        registry._REGISTRY[experiment.id] = experiment
+        try:
+            runner = SweepRunner(
+                jobs=2,
+                backend=self.make_backend(),
+                retry_policy=retry_policy,
+                timeout=timeout,
+            )
+            runner.run(experiment, _ToyParams(), seed=0)
+        finally:
+            registry._REGISTRY.pop(experiment.id, None)
+        return runner.last_stats
+
     def test_point_error_lands_in_stats_errors(self):
-        runner = SweepRunner(jobs=1, backend="serial", retries=0)
         with pytest.warns(RuntimeWarning, match="failed"):
-            runner.run(_FailingExperiment(3), _ToyParams(), seed=0)
-        stats = runner.last_stats
+            stats = self.sweep(_FailingExperiment(3), _policy(1))
         assert stats.errors == 1
         assert stats.timeouts == 0
         assert len(stats.failures) == 1
@@ -603,38 +650,95 @@ class TestFailureAccounting:
         assert stats.failures[0].label == "p1"
 
     def test_timeout_lands_in_stats_timeouts_with_kind(self):
-        # A thread pool resolves experiments by id in-process, so the
-        # sleepy toy must sit in the registry for the sweep's duration.
-        experiment = _SleepyExperiment(1)
-        registry._ensure_loaded()
-        registry._REGISTRY[experiment.id] = experiment
-        try:
-            runner = SweepRunner(
-                jobs=2,
-                backend=LegacyExecutorBackend(
-                    lambda n: concurrent.futures.ThreadPoolExecutor(n)
-                ),
-                retries=0,
-                timeout=0.1,
-            )
-            with pytest.warns(RuntimeWarning, match="failed"):
-                runner.run(experiment, _ToyParams(), seed=0)
-        finally:
-            registry._REGISTRY.pop(experiment.id, None)
-        stats = runner.last_stats
+        with pytest.warns(RuntimeWarning, match="failed"):
+            stats = self.sweep(self.overrunning(1), _policy(1), timeout=0.1)
         assert stats.timeouts == 1
         assert stats.errors == 0
         assert len(stats.failures) == 1
         assert stats.failures[0].kind == "timeout"
+        assert stats.failures[0].error.startswith(self.timeout_error)
+
+    def test_deterministic_failure_spends_the_point_budget(self):
+        experiment = _FlakyExperiment(ValueError("always"), fail_times=99)
+        with pytest.warns(RuntimeWarning, match="failed"):
+            stats = self.sweep(experiment, _policy(3))
+        assert len(experiment.executed) == 3
+        assert stats.failures[0].kind == "deterministic"
+        assert stats.failures[0].attempts == 3
+        assert stats.transient_retries == 0
+
+    def test_flaky_point_recovers_within_budget(self):
+        experiment = _FlakyExperiment(ValueError("once"), fail_times=1)
+        stats = self.sweep(experiment, _policy(2))
+        assert stats.failures == []
+        assert stats.executed == 1
+        assert len(experiment.executed) == 2
+
+    def test_transient_faults_spare_the_point_budget(self):
+        # max_attempts=1 leaves no deterministic retry: only the
+        # separate transient budget can carry the point to success.
+        experiment = _FlakyExperiment(ConnectionResetError("lost"), 2)
+        stats = self.sweep(experiment, _policy(1, transient=2))
+        assert stats.failures == []
+        assert stats.transient_retries == 2
+        assert len(experiment.executed) == 3
+
+    def test_exhausted_transient_budget_fails_with_kind(self):
+        experiment = _FlakyExperiment(ConnectionResetError("lost"), 99)
+        with pytest.warns(RuntimeWarning, match="failed"):
+            stats = self.sweep(experiment, _policy(1, transient=2))
+        assert stats.errors == 1
+        assert stats.failures[0].kind == "transient"
+        assert stats.failures[0].attempts == 3
+        assert stats.transient_retries == 2
+
+
+class TestFailureAccounting(_FailureAccountingCases):
+    """The inline backend: attempts run at submit time, one by one."""
+
+    timeout_error = "TimeoutError: point deadline exceeded"
+
+    def make_backend(self):
+        return SerialBackend()
 
     def test_system_exit_propagates_out_of_a_serial_sweep(self):
         # SystemExit is control flow, not a point failure: the serial
         # backend must re-raise it instead of feeding it to the retry
         # loop as if the point had merely errored.
-        runner = SweepRunner(jobs=1, backend="serial", retries=3)
+        runner = SweepRunner(jobs=1, backend="serial", retry_policy=_policy(4))
         with pytest.raises(SystemExit):
             runner.run(_ExitingExperiment(2), _ToyParams(), seed=0)
         assert runner.last_stats is None or runner.last_stats.errors == 0
+
+    def test_seeded_backoff_sleeps_between_retries(self, monkeypatch):
+        slept = []
+        monkeypatch.setattr("repro.runner.engine.time.sleep", slept.append)
+        policy = _policy(3, base_delay=0.05, jitter=0.5)
+        experiment = _FlakyExperiment(ValueError("always"), fail_times=99)
+        with pytest.warns(RuntimeWarning, match="failed"):
+            self.sweep(experiment, policy)
+        backoff = policy.schedule(f"{experiment.id}/p0")
+        assert slept == [backoff.delay(1), backoff.delay(2)]
+
+
+class TestPooledFailureAccounting(_FailureAccountingCases):
+    """A pool backend: first attempts submitted up front, retries
+    resubmitted without a backoff sleep."""
+
+    overrunning = _SleepyExperiment
+    timeout_error = "timed out after 0.1"
+
+    def make_backend(self):
+        return ThreadPoolBackend()
+
+    def test_no_backoff_sleep_between_retries(self, monkeypatch):
+        slept = []
+        monkeypatch.setattr("repro.runner.engine.time.sleep", slept.append)
+        experiment = _FlakyExperiment(ValueError("always"), fail_times=99)
+        with pytest.warns(RuntimeWarning, match="failed"):
+            self.sweep(experiment, _policy(3, base_delay=0.05, jitter=0.5))
+        assert len(experiment.executed) == 3
+        assert slept == []
 
 
 # ----------------------------------------------------------------------

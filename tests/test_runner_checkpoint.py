@@ -15,7 +15,6 @@ The headline guarantees under test:
   partial payloads, with everything completed already on disk.
 """
 
-import concurrent.futures
 import dataclasses
 import json
 import os
@@ -31,7 +30,6 @@ import pytest
 from repro.experiments import registry
 from repro.experiments.base import Experiment, Point
 from repro.runner import (
-    LegacyExecutorBackend,
     ResultCache,
     SweepCheckpoint,
     SweepInterrupted,
@@ -39,6 +37,7 @@ from repro.runner import (
 )
 from repro.runner.checkpoint import digest_params
 from repro.sim.randomness import derive_seed
+from tests.helpers import ThreadPoolBackend
 
 
 @dataclasses.dataclass
@@ -94,6 +93,50 @@ class TestSweepCheckpoint:
         path.write_text(text[: len(text) - 20])
         loaded = SweepCheckpoint(path).load()
         assert loaded == {("toy", "p0", 1, ""): "ok"}
+
+    @staticmethod
+    def _torn_journal(path):
+        """A journal whose writer was SIGKILLed mid-record."""
+        ckpt = SweepCheckpoint(path)
+        ckpt.write_header(backend="process", jobs=4)
+        ckpt.record("toy", "p0", 1, "ok")
+        ckpt.record("toy", "p1", 1, "torn")
+        ckpt.close()
+        text = path.read_text()
+        path.write_text(text[: len(text) - 20])
+
+    def test_record_after_torn_tail_survives(self, tmp_path):
+        # A resumed run journals its cache hits before its header: the
+        # first of them must not be glued onto the torn fragment.
+        path = tmp_path / "journal.jsonl"
+        self._torn_journal(path)
+        resumed = SweepCheckpoint(path)
+        resumed.record("toy", "p2", 1, "cache hit")
+        resumed.write_header(backend="serial", jobs=1)
+        resumed.record("toy", "p3", 1, "executed")
+        resumed.close()
+        loaded = SweepCheckpoint(path)
+        assert loaded.load() == {
+            ("toy", "p0", 1, ""): "ok",
+            ("toy", "p2", 1, ""): "cache hit",
+            ("toy", "p3", 1, ""): "executed",
+        }
+        assert loaded.header["backend"] == "serial"
+
+    def test_header_after_torn_tail_survives(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        self._torn_journal(path)
+        resumed = SweepCheckpoint(path)
+        resumed.write_header(backend="serial", jobs=1)
+        resumed.record("toy", "p2", 1, "executed")
+        resumed.close()
+        loaded = SweepCheckpoint(path)
+        assert loaded.load() == {
+            ("toy", "p0", 1, ""): "ok",
+            ("toy", "p2", 1, ""): "executed",
+        }
+        assert loaded.header["backend"] == "serial"
+        assert loaded.header["jobs"] == 1
 
     def test_garbage_lines_are_skipped(self, tmp_path):
         path = tmp_path / "journal.jsonl"
@@ -362,14 +405,7 @@ class TestStragglerRace:
         # Threads instead of processes so the experiment's in-memory
         # events synchronize attempts; jobs=2 with a second trivial
         # point forces the pool path.
-        runner = SweepRunner(
-            jobs=2,
-            timeout=0.1,
-            retries=1,
-            backend=LegacyExecutorBackend(
-                lambda n: concurrent.futures.ThreadPoolExecutor(n)
-            ),
-        )
+        runner = SweepRunner(jobs=2, timeout=0.1, backend=ThreadPoolBackend())
 
         class TwoPoints(_StragglerExperiment):
             def points(self, params):
@@ -398,12 +434,7 @@ class TestStragglerRace:
             experiment = _StragglerExperiment()
             registry._REGISTRY[experiment.id] = experiment
             runner = SweepRunner(
-                jobs=2,
-                timeout=0.1,
-                retries=1,
-                backend=LegacyExecutorBackend(
-                    lambda n: concurrent.futures.ThreadPoolExecutor(n)
-                ),
+                jobs=2, timeout=0.1, backend=ThreadPoolBackend()
             )
 
             class TwoPoints(type(experiment)):
